@@ -453,7 +453,6 @@ type scaling_row = {
   sc_lookups : int;
   sc_waits : int; (* lookups that blocked on an in-flight claim *)
   sc_cache_contended : int;
-  sc_hashcons_contended : int;
 }
 
 let scaling () =
@@ -476,7 +475,6 @@ let scaling () =
   in
   let run jobs =
     Dispatch.Cache.reset_lock_stats ();
-    Hashcons.reset_lock_stats ();
     let opts = { (Jahob_core.Jahob.default_options ()) with jobs } in
     let (counts, hits, lookups, waits), dt =
       time_it (fun () ->
@@ -512,9 +510,7 @@ let scaling () =
       sc_lookups = lookups;
       sc_waits = waits;
       sc_cache_contended =
-        (Dispatch.Cache.lock_stats ()).Dispatch.Cache.contended_acquisitions;
-      sc_hashcons_contended =
-        (Hashcons.lock_stats ()).Hashcons.contended_acquisitions }
+        (Dispatch.Cache.lock_stats ()).Dispatch.Cache.contended_acquisitions }
   in
   let rows = List.map run scaling_jobs in
   let base = match rows with r :: _ -> r.sc_dt | [] -> 1. in
@@ -525,11 +521,11 @@ let scaling () =
       Printf.printf
         "  -j %d  %6.2fs  speedup %4.2fx   %3d obligations: %3d valid %3d \
          invalid %3d unknown   cache hits %d/%d (%.1f%%, %d waited)   \
-         contended locks: cache %d hashcons %d\n%!"
+         contended cache locks %d\n%!"
         r.sc_jobs r.sc_dt (speedup r) t v i u r.sc_hits r.sc_lookups
         (if r.sc_lookups = 0 then 0.
          else 100. *. float_of_int r.sc_hits /. float_of_int r.sc_lookups)
-        r.sc_waits r.sc_cache_contended r.sc_hashcons_contended)
+        r.sc_waits r.sc_cache_contended)
     rows;
   (match rows with
   | r0 :: _ ->
@@ -568,9 +564,9 @@ let scaling () =
                "{\"jobs\":%d,\"seconds\":%.4f,\"speedup\":%.3f,\"total\":%d,\
                 \"valid\":%d,\"invalid\":%d,\"unknown\":%d,\
                 \"cache_hits\":%d,\"cache_lookups\":%d,\"cache_waits\":%d,\
-                \"contended_cache_locks\":%d,\"contended_hashcons_locks\":%d}"
+                \"contended_cache_locks\":%d}"
                r.sc_jobs r.sc_dt (speedup r) t v i u r.sc_hits r.sc_lookups
-               r.sc_waits r.sc_cache_contended r.sc_hashcons_contended)
+               r.sc_waits r.sc_cache_contended)
            rows)
     ^ "]");
   note_json "scaling_meta"
@@ -666,159 +662,6 @@ let trace_overhead () =
   if ratio > 1.05 then
     failwith
       (Printf.sprintf "disabled-tracing overhead %.1f%% exceeds the 5%% bound"
-         ((ratio -. 1.) *. 100.))
-
-(* ------------------------------------------------------------------ *)
-(* HASHCONS: the hash-consed formula kernel, A/B                       *)
-(* ------------------------------------------------------------------ *)
-
-(* every obligation of the List figures — the canonicalize+digest
-   workload the dispatch cache pays on each lookup *)
-let hashcons_obligations () =
-  let files =
-    [ examples_dir ^ "/list/Client.java"; examples_dir ^ "/list/List.java" ]
-  in
-  let prog = List.concat_map Javaparser.Jparser.parse_program_file files in
-  List.concat_map Vcgen.method_obligations (Gcl.Desugar.program_tasks prog)
-
-(* a VC with exponential tree size but linear DAG size: each level
-   mentions the previous one twice through non-collapsing connectives
-   (mk_and would flatten [g; g] and mk_iff g g simplifies away) *)
-let deep_sharing_sequent depth =
-  let rec build k g =
-    if k = 0 then g
-    else
-      let p = Form.mk_var (Printf.sprintf "p%d" k) in
-      let q = Form.mk_var (Printf.sprintf "q%d" k) in
-      build (k - 1) (Form.mk_and [ Form.mk_impl g p; Form.mk_impl q g ])
-  in
-  let base = Form.mk_lt (Form.mk_var "x") (Form.mk_var "y") in
-  Sequent.make [ build depth base ] (Form.mk_var "p1")
-
-(* best-of-[runs] timing of [iters] repetitions of [work], under the
-   kernel switch [enabled]; memo tables are dropped before every sample,
-   so each sample pays the cold start honestly *)
-let hashcons_time ~enabled ~runs ~iters work =
-  let best = ref infinity in
-  for _ = 1 to runs do
-    Hashcons.set_enabled enabled;
-    Form.clear_memos ();
-    let t0 = Clock.now () in
-    for _ = 1 to iters do
-      work ()
-    done;
-    best := Float.min !best (Clock.now () -. t0)
-  done;
-  Hashcons.set_enabled true;
-  !best
-
-let hashcons_bench () =
-  header "HASHCONS: hash-consed formula kernel — speedup and parity A/B";
-  Printf.printf
-    "the kernel interns every formula node once (weak sharded store) and\n\
-    \  memoizes the hot structural passes per node id: alpha-normalization,\n\
-    \  canonical printing, free variables, simplification, sequent digests.\n\
-    \  This times the dispatch cache-key workload and a full verification\n\
-    \  with the kernel on vs off (--no-hashcons), and fails unless the\n\
-    \  microbenchmark gains >=2x with no end-to-end regression and\n\
-    \  identical verdicts.\n";
-  (* -- microbenchmark: canonicalize + digest over the List obligations -- *)
-  let obligations = hashcons_obligations () in
-  Printf.printf "  workload: %d obligations from list/{Client,List}.java\n%!"
-    (List.length obligations);
-  let digest_all () =
-    List.iter (fun s -> ignore (Sequent.digest s)) obligations
-  in
-  let iters = 60 in
-  ignore (hashcons_time ~enabled:false ~runs:1 ~iters:2 digest_all);
-  (* warm up *)
-  let plain = hashcons_time ~enabled:false ~runs:5 ~iters digest_all in
-  let consed = hashcons_time ~enabled:true ~runs:5 ~iters digest_all in
-  let micro_speedup = plain /. consed in
-  Printf.printf
-    "  digest x%d:       plain %.4fs   hashcons %.4fs   speedup %.1fx\n%!"
-    iters plain consed micro_speedup;
-  (* -- synthetic deep-sharing VC: exponential tree, linear DAG -- *)
-  let deep = deep_sharing_sequent 14 in
-  let deep_work () = ignore (Sequent.digest deep) in
-  let deep_iters = 20 in
-  let deep_plain = hashcons_time ~enabled:false ~runs:3 ~iters:deep_iters deep_work in
-  let deep_consed = hashcons_time ~enabled:true ~runs:3 ~iters:deep_iters deep_work in
-  let deep_speedup = deep_plain /. deep_consed in
-  Printf.printf
-    "  deep-sharing x%d: plain %.4fs   hashcons %.4fs   speedup %.1fx\n%!"
-    deep_iters deep_plain deep_consed deep_speedup;
-  (* -- end-to-end: jahob verify with and without the kernel -- *)
-  let files =
-    [ examples_dir ^ "/list/Client.java"; examples_dir ^ "/list/List.java" ]
-  in
-  let prog = List.concat_map Javaparser.Jparser.parse_program_file files in
-  let verify use_hashcons =
-    Form.clear_memos ();
-    (* sched pinned to Fixed: this experiment isolates the formula
-       kernel, and the adaptive scheduler's timing-dependent prover
-       ordering would add run-to-run variance to both arms *)
-    let opts =
-      { (Jahob_core.Jahob.default_options ()) with
-        Jahob_core.Jahob.use_hashcons;
-        Jahob_core.Jahob.sched = Dispatch.Sched.Fixed }
-    in
-    time_it (fun () -> Jahob_core.Jahob.verify_program ~opts prog)
-  in
-  let counts (r : Jahob_core.Jahob.program_report) =
-    List.map
-      (fun (m : Jahob_core.Jahob.method_report) ->
-        let s = m.Jahob_core.Jahob.obligations in
-        ( m.Jahob_core.Jahob.method_name,
-          (s.Dispatch.total, s.Dispatch.valid, s.Dispatch.invalid,
-           s.Dispatch.unknown) ))
-      r.Jahob_core.Jahob.methods
-  in
-  let best_of_3 use_hashcons =
-    let results = List.init 3 (fun _ -> verify use_hashcons) in
-    let report = fst (List.hd results) in
-    (report, List.fold_left (fun b (_, dt) -> Float.min b dt) infinity results)
-  in
-  let report_off, e2e_plain = best_of_3 false in
-  let report_on, e2e_consed = best_of_3 true in
-  Hashcons.set_enabled true;
-  let ratio = e2e_consed /. e2e_plain in
-  let identical = counts report_off = counts report_on in
-  count_report report_on;
-  Printf.printf
-    "  end-to-end:       plain %.2fs   hashcons %.2fs   ratio %.3f   \
-     verdicts identical: %b\n%!"
-    e2e_plain e2e_consed ratio identical;
-  let json =
-    Printf.sprintf
-      "{\"microbench\":{\"iters\":%d,\"plain_s\":%.6f,\"hashcons_s\":%.6f,\
-       \"speedup\":%.2f},\"deep_sharing\":{\"depth\":14,\"iters\":%d,\
-       \"plain_s\":%.6f,\"hashcons_s\":%.6f,\"speedup\":%.2f},\
-       \"end_to_end\":{\"plain_s\":%.4f,\"hashcons_s\":%.4f,\
-       \"ratio\":%.4f,\"verdicts_identical\":%b}}"
-      iters plain consed micro_speedup deep_iters deep_plain deep_consed
-      deep_speedup e2e_plain e2e_consed ratio identical
-  in
-  let oc = open_out "BENCH_hashcons.json" in
-  Printf.fprintf oc "%s\n" json;
-  close_out oc;
-  Printf.printf "  wrote BENCH_hashcons.json\n%!";
-  note_json "hashcons" json;
-  (* pass/fail guards, mirroring trace_overhead's ratio check *)
-  if not identical then
-    failwith "verdicts differ between --no-hashcons and the kernel";
-  if micro_speedup < 2.0 then
-    failwith
-      (Printf.sprintf
-         "canonicalize+digest speedup %.2fx below the 2x bound" micro_speedup);
-  if deep_speedup < 2.0 then
-    failwith
-      (Printf.sprintf "deep-sharing speedup %.2fx below the 2x bound"
-         deep_speedup);
-  (* 5% is the target; the guard allows 10% to absorb CI timer noise *)
-  if ratio > 1.10 then
-    failwith
-      (Printf.sprintf "end-to-end regression %.1f%% exceeds the bound"
          ((ratio -. 1.) *. 100.))
 
 (* ------------------------------------------------------------------ *)
@@ -1176,25 +1019,22 @@ let daemon_replay (server : Daemon.Server.t) : daemon_sig list * float =
 let daemon_bench () =
   header "DAEMON: warm daemon replay vs cold CLI runs";
   Printf.printf
-    "a resident daemon keeps the verdict cache, scheduler EMAs and the\n\
-    \  hash-consing store warm across requests and backs the cache with a\n\
-    \  persistent on-disk store.  This replays the fully-verified example\n\
-    \  groups as cold CLI runs (fresh engine, cleared memo tables per\n\
-    \  group) vs warm requests against one in-process server, through the\n\
-    \  real JSONL protocol, and fails unless the warm replay is >=%.0fx\n\
-    \  faster with identical verdicts — including after a daemon restart\n\
-    \  that re-serves from disk.\n"
+    "a resident daemon keeps the verdict cache and scheduler EMAs warm\n\
+    \  across requests and backs the cache with a persistent on-disk\n\
+    \  store.  This replays the fully-verified example groups as cold CLI\n\
+    \  runs (fresh engine per group) vs warm requests against one\n\
+    \  in-process server, through the real JSONL protocol, and fails\n\
+    \  unless the warm replay is >=%.0fx faster with identical verdicts —\n\
+    \  including after a daemon restart that re-serves from disk.\n"
     daemon_speedup_floor;
   let store_path =
     Filename.temp_file "jahob_bench_daemon" ".jstore"
   in
   Sys.remove store_path;
-  (* -- cold arm: one fresh CLI-style run per group, memos dropped so
-        each run honestly pays the cold start -- *)
+  (* -- cold arm: one fresh CLI-style run per group -- *)
   let cold_run () =
     List.map
       (fun files ->
-        Form.clear_memos ();
         let report, dt =
           time_it (fun () ->
               Jahob_core.Jahob.verify_files ~opts:(bench_opts ())
@@ -1212,7 +1052,6 @@ let daemon_bench () =
     (List.length daemon_suite) cold_s;
   (* -- warm arm: one resident server; the first pass populates, the
         replays measure warmth -- *)
-  Form.clear_memos ();
   let cfg =
     { (Daemon.Server.default_config ()) with
       Daemon.Server.opts = bench_opts ();
@@ -1239,7 +1078,6 @@ let daemon_bench () =
   (* -- restart: a second server must re-serve identical verdicts from
         the on-disk store left by the first -- *)
   Daemon.Server.shutdown server;
-  Form.clear_memos ();
   let server2 = Daemon.Server.create cfg in
   let restart_warm =
     match Option.map Daemon.Store.status (Daemon.Server.store server2) with
@@ -1386,18 +1224,16 @@ let incremental_bench () =
   let identical = ref true and exact = ref true in
   List.iter
     (fun (label, base, patched, edited) ->
-      (* cold arm: the patched program from scratch, memos dropped *)
-      Form.clear_memos ();
+      (* cold arm: the patched program from scratch *)
       let cold_report, cold_dt =
         time_it (fun () ->
             Jahob_core.Jahob.verify_program ~opts patched)
       in
-      (* incremental arm: populate with the base, drop the memos the
-         cold arm also lost, then time the patched run *)
+      (* incremental arm: populate with the base, then time the patched
+         run *)
       let engine = Jahob_core.Jahob.create_engine opts in
       let source = Jahob_core.Jahob.hashtbl_source () in
       ignore (Jahob_core.Jahob.verify_program_inc engine ~source base);
-      Form.clear_memos ();
       let inc_report, inc_dt =
         time_it (fun () ->
             Jahob_core.Jahob.verify_program_inc engine ~source patched)
@@ -1519,6 +1355,14 @@ let fol_corpus_dir =
   List.find_opt
     (fun d -> Sys.file_exists d && Sys.is_directory d)
     candidates
+
+(* every obligation of the List figures *)
+let list_obligations () =
+  let files =
+    [ examples_dir ^ "/list/Client.java"; examples_dir ^ "/list/List.java" ]
+  in
+  let prog = List.concat_map Javaparser.Jparser.parse_program_file files in
+  List.concat_map Vcgen.method_obligations (Gcl.Desugar.program_tasks prog)
 
 let fol_outcome_name = function
   | Ok Fol.Proof -> "proof"
@@ -1680,7 +1524,7 @@ let fol_bench () =
         everything the naive engine proves, the indexed engine must
         still prove -- *)
   let obligations =
-    List.filter Fol.in_fragment (hashcons_obligations ())
+    List.filter Fol.in_fragment (list_obligations ())
   in
   let prove engine s =
     Fol.outcome_with ~engine ~set_vars:(Fol.infer_set_vars s) s
@@ -1998,7 +1842,6 @@ let experiments =
     ("abl_shape", abl_shape);
     ("perf", perf);
     ("trace_overhead", trace_overhead);
-    ("hashcons", hashcons_bench);
     ("fol", fol_bench);
     ("mona", mona_bench);
     ("sched", sched_bench);
@@ -2071,7 +1914,7 @@ let () =
     Printf.printf "\nwrote BENCH_results.json (%d experiments)\n%!"
       (List.length records)
   end;
-  (* a failed guard (hashcons, sched, trace_overhead) must fail CI *)
+  (* a failed guard (sched, trace_overhead, ...) must fail CI *)
   if !failed <> [] then begin
     Printf.printf "\nFAILED experiments: %s\n%!"
       (String.concat ", " (List.rev !failed));

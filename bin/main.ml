@@ -98,13 +98,6 @@ let budget_arg =
            ~doc:"Wall-clock budget per prover call; a prover exceeding it \
                  answers unknown and the portfolio moves on")
 
-let no_hashcons_arg =
-  Arg.(value & flag
-       & info [ "no-hashcons" ]
-           ~doc:"Disable the hash-consed formula kernel and its memo \
-                 tables; every structural pass recomputes from scratch \
-                 (A/B escape hatch for benchmarking and debugging)")
-
 let mona_engine_arg =
   Arg.(value
        & opt (enum [ ("bdd", Mona.Ws1s.Bdd); ("dense", Mona.Ws1s.Dense) ])
@@ -159,7 +152,7 @@ let trace_format_arg =
                  array)")
 
 let make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap ~budget
-    ~no_hashcons ~sched ~race ~mona_engine : Jahob_core.Jahob.options =
+    ~sched ~race ~mona_engine : Jahob_core.Jahob.options =
   (* set the process default immediately: [verify_with_store] computes
      the store fingerprint before [create_engine] runs, and the
      fingerprint must see the engine the run will actually use *)
@@ -170,7 +163,6 @@ let make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap ~budget
     use_cache = not no_cache;
     cache_cap;
     budget_s = budget;
-    use_hashcons = not no_hashcons;
     sched;
     race;
     mona_engine }
@@ -239,12 +231,12 @@ let verify_since (opts : Jahob_core.Jahob.options) ~(base : string list)
 
 let verify_cmd =
   let run files no_inference provers stats jobs no_cache cache_cap budget
-      no_hashcons sched race mona_engine store store_cap incremental since
+      sched race mona_engine store store_cap incremental since
       trace_file trace_format =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
-            ~budget ~no_hashcons ~sched ~race ~mona_engine
+            ~budget ~sched ~race ~mona_engine
         in
         (* aggregate counters feed --stats; the sink feeds --trace *)
         if stats || trace_file <> None then Trace.start_collecting ();
@@ -287,7 +279,7 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Verify all annotated methods")
     Term.(const run $ files_arg $ no_inference_arg $ provers_arg $ stats_arg
           $ jobs_arg $ no_cache_arg $ cache_cap_arg $ budget_arg
-          $ no_hashcons_arg $ sched_arg $ race_arg $ mona_engine_arg
+          $ sched_arg $ race_arg $ mona_engine_arg
           $ store_arg $ store_cap_arg $ incremental_arg $ since_arg
           $ trace_arg $ trace_format_arg)
 
@@ -306,11 +298,11 @@ let serve_cmd =
                    request fanning out on the resident worker pool")
   in
   let run stdio socket no_inference provers jobs no_cache cache_cap budget
-      no_hashcons sched race mona_engine store store_cap =
+      sched race mona_engine store store_cap =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
-            ~budget ~no_hashcons ~sched ~race ~mona_engine
+            ~budget ~sched ~race ~mona_engine
         in
         let cfg =
           { (Daemon.Server.default_config ()) with
@@ -336,11 +328,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the resident verification daemon: JSONL requests over a \
              Unix socket or stdio, answered from a warm engine (worker \
-             pool, verdict cache, scheduler EMAs, hash-consing store) \
+             pool, verdict cache, scheduler EMAs) \
              optionally backed by a persistent on-disk verdict store")
     Term.(const run $ stdio_flag $ socket_arg $ no_inference_arg
           $ provers_arg $ jobs_arg $ no_cache_arg $ cache_cap_arg
-          $ budget_arg $ no_hashcons_arg $ sched_arg $ race_arg
+          $ budget_arg $ sched_arg $ race_arg
           $ mona_engine_arg $ store_arg $ store_cap_arg)
 
 let vc_cmd =

@@ -56,7 +56,6 @@ type options = {
   use_cache : bool; (* memoize verdicts of repeated obligations *)
   cache_cap : int; (* verdict-cache entry cap; 0 = the generous default *)
   budget_s : float option; (* wall-clock budget per prover call *)
-  use_hashcons : bool; (* the hash-consed formula kernel; off = plain *)
   sched : Dispatch.Sched.policy; (* fixed cascade or adaptive routing *)
   race : int; (* admitted provers raced per obligation; 1 = cascade *)
   mona_engine : Mona.Ws1s.engine; (* WS1S automata engine: Bdd or Dense *)
@@ -65,7 +64,7 @@ type options = {
 let default_options () =
   { provers = default_provers (); infer_loop_invariants = true;
     jobs = 1; use_cache = true; cache_cap = 0; budget_s = None;
-    use_hashcons = true; sched = Dispatch.Sched.Adaptive; race = 1;
+    sched = Dispatch.Sched.Adaptive; race = 1;
     mona_engine = Mona.Ws1s.Bdd }
 
 (* a ceiling on worker domains: beyond any real core count, more domains
@@ -128,12 +127,9 @@ type engine = {
 }
 
 let create_engine (opts : options) : engine =
-  (* the kernel switch is global (memo wrappers consult it on each call),
-     so flipping it here covers the whole pipeline, worker domains
-     included *)
-  Logic.Hashcons.set_enabled opts.use_hashcons;
-  (* same pattern for the WS1S automata engine: the MONA route reads the
-     process default at each decision, worker domains included *)
+  (* the WS1S automata engine is a process default: the MONA route reads
+     it at each decision, so setting it here covers the whole pipeline,
+     worker domains included *)
   Mona.Ws1s.set_default_engine opts.mona_engine;
   (* one pool serves both fan-out levels: methods are verified in
      parallel and each method's obligations fan out on the same
@@ -291,8 +287,6 @@ let report_ok (methods : method_report list) : bool =
     methods
 
 let verify_program_with (e : engine) (prog : Ast.program) : program_report =
-  let opts = e.eng_opts in
-  Logic.Hashcons.set_enabled opts.use_hashcons;
   Option.iter Dispatch.Cache.new_epoch e.eng_cache;
   let tasks =
     Trace.with_span ~cat:"frontend" "desugar" (fun () ->
@@ -399,7 +393,6 @@ let replay_report ((oname, kind, prover) : string * string * string) :
 let verify_program_inc (e : engine) ~(source : method_source)
     (prog : Ast.program) : program_report =
   let opts = e.eng_opts in
-  Logic.Hashcons.set_enabled opts.use_hashcons;
   Option.iter Dispatch.Cache.new_epoch e.eng_cache;
   let ctx =
     Trace.with_span ~cat:"frontend" "ctx-digest" (fun () ->

@@ -55,10 +55,6 @@ type options = {
   budget_s : float option;
       (** wall-clock budget per prover call; [None] leaves provers
           unbounded *)
-  use_hashcons : bool;
-      (** enable the hash-consed formula kernel and its memo tables
-          ({!Logic.Hashcons}); [false] runs every structural pass plain —
-          the A/B escape hatch behind [jahob verify --no-hashcons] *)
   sched : Dispatch.Sched.policy;
       (** [Adaptive] (the default) routes each obligation through
           fragment admission and the learned prover ordering;
@@ -82,8 +78,7 @@ val default_options : unit -> options
     worker pool, the verdict cache, the adaptive scheduler's EMAs and the
     per-prover statistics.  A one-shot {!verify_files} builds a throwaway
     engine; [jahob serve] builds one at startup and answers every request
-    from it (the hash-consing store is process-global, so it stays warm
-    for free). *)
+    from it. *)
 type engine
 
 val create_engine : options -> engine

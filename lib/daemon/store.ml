@@ -32,7 +32,8 @@
     and unions the other writer's fresh entries into its own before
     renaming.  Verdicts are semantic facts keyed by canonical digests,
     so a union can never replace a verdict with a contradictory one —
-    the race only decides whose recency stamps win. *)
+    the race only decides whose recency stamps win.  Method records this
+    writer removed since its last load or save are not merged back. *)
 
 open Logic
 open Jahob_core
@@ -65,6 +66,9 @@ type t = {
       (* the dependency index (schema v2): per-method structural digest,
          context digest, dependency digests and settled verdicts — what
          incremental re-verification consults before regenerating VCs *)
+  removed : (string, unit) Hashtbl.t;
+      (* method records removed since the last load or save: the
+         merge-on-save must not read them back from the file *)
   mutable status : status;
   mutable dirty : bool; (* entries added since the last save *)
   lock : Mutex.t;
@@ -119,7 +123,7 @@ let fingerprint () : string =
           Buffer.add_char buf '\n';
           Buffer.add_string buf
             (Pprint.to_canonical_string
-               (Form.alpha_normalize_shared ~keep_types:true f));
+               (Form.alpha_normalize ~keep_types:true f));
           Buffer.add_char buf '|';
           Buffer.add_string buf (Sequent.digest s)
         | None ->
@@ -196,7 +200,8 @@ let load ?(cap = default_cap) ?(log = default_log) (path : string) : t =
   let t =
     { path; cap = (if cap <= 0 then max_int else cap); log; clock = 0;
       table = Hashtbl.create 256; methods = Hashtbl.create 64;
-      status = Fresh; dirty = false; lock = Mutex.create () }
+      removed = Hashtbl.create 8; status = Fresh; dirty = false;
+      lock = Mutex.create () }
   in
   (if Sys.file_exists path then
      match read_file path with
@@ -299,6 +304,7 @@ let find_method (t : t) (name : string) : Jahob.stored_method option =
 let record_method (t : t) (sm : Jahob.stored_method) : unit =
   Mutex.lock t.lock;
   Hashtbl.replace t.methods sm.Jahob.sm_name sm;
+  Hashtbl.remove t.removed sm.Jahob.sm_name;
   t.dirty <- true;
   Mutex.unlock t.lock
 
@@ -306,6 +312,7 @@ let remove_method (t : t) (name : string) : unit =
   Mutex.lock t.lock;
   if Hashtbl.mem t.methods name then begin
     Hashtbl.remove t.methods name;
+    Hashtbl.replace t.removed name ();
     t.dirty <- true
   end;
   Mutex.unlock t.lock
@@ -391,7 +398,9 @@ let save (t : t) : unit =
     ~finally:(fun () -> Mutex.unlock t.lock)
     (fun () ->
       (* union a concurrent writer's entries (same fingerprint only);
-         our own stamps win on conflict, which is all the race decides *)
+         our own stamps win on conflict, which is all the race decides.
+         Method records we removed since the last load/save are still
+         in the file we are replacing: skip them, or they come back *)
       (if Sys.file_exists t.path then
          match read_file t.path with
          | Ok p when p.p_fingerprint = fingerprint () ->
@@ -402,7 +411,9 @@ let save (t : t) : unit =
              p.p_entries;
            Array.iter
              (fun (sm : Jahob.stored_method) ->
-               if not (Hashtbl.mem t.methods sm.Jahob.sm_name) then
+               if not (Hashtbl.mem t.methods sm.Jahob.sm_name
+                       || Hashtbl.mem t.removed sm.Jahob.sm_name)
+               then
                  Hashtbl.replace t.methods sm.Jahob.sm_name sm)
              p.p_methods
          | Ok _ | Error _ -> ());
@@ -440,6 +451,7 @@ let save (t : t) : unit =
          raise e);
       (* the atomic commit point: rename never exposes a torn file *)
       Unix.rename tmp t.path;
+      Hashtbl.reset t.removed;
       t.dirty <- false;
       Trace.incr "store.saved")
 

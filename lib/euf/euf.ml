@@ -39,7 +39,7 @@ type node = {
 type t = {
   mutable nodes : node array;
   mutable n_nodes : int;
-  term_ids : (string * int list, int) Hashtbl.t; (* structural hashcons *)
+  term_ids : (string * int list, int) Hashtbl.t; (* (fname, arg ids) -> node id: one node per term *)
   (* congruence signature: (fname, arg representatives) -> node id *)
   sigs : (string * int list, int) Hashtbl.t;
   mutable pending : (int * int) list; (* merges to process *)

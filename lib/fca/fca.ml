@@ -69,7 +69,7 @@ let eliminate_derived ~(field : string) ~(constraint_ : string * string * Form.t
           let v = Form.fresh_name ("d_" ^ String.map (fun c -> if c = '.' then '_' else c) field) in
           memo := (t, v) :: !memo;
           extra :=
-            Form.subst_list_shared [ (x, t); (y, Form.Var v) ] phi :: !extra;
+            Form.subst_list [ (x, t); (y, Form.Var v) ] phi :: !extra;
           v
       in
       Form.Var v
@@ -376,8 +376,8 @@ let route_sequent (s : Sequent.t) : (W.t * string list, string) result =
     in
     let size =
       List.fold_left
-        (fun n h -> n + Form.size_shared h)
-        (Form.size_shared s.Sequent.goal)
+        (fun n h -> n + Form.size h)
+        (Form.size s.Sequent.goal)
         s.Sequent.hyps
     in
     if size > max_sequent_size then reject "sequent too large (%d nodes)" size;

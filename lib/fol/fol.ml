@@ -136,7 +136,7 @@ let functional_step (universals : string list) (p : Form.t) : term option =
     | Form.App (Form.Const Form.Eq, [ lhs; Form.Var v' ]) when v' = v -> (
       match Form.strip_types lhs with
       | Form.App (Form.Const Form.FieldRead, [ fld; Form.Var u' ])
-        when u' = u && not (List.mem u (Form.fv_list_shared fld)) ->
+        when u' = u && not (List.mem u (Form.fv_list fld)) ->
         (* step function = the field (possibly an updated field term) *)
         Some (fol_term universals fld)
       | _ -> None)
@@ -728,8 +728,7 @@ let instantiate_foralls (cands : Form.t list) (hyps : Form.t list) :
           List.filter_map
             (fun tuple ->
               let sub = List.map2 (fun (x, _) c -> (x, c)) vars tuple in
-              (* one fresh tree per instantiation: the memo never pays here *)
-              let inst = Simplify.simplify_plain (Form.subst_list_shared sub body) in
+              let inst = Simplify.simplify (Form.subst_list sub body) in
               if Form.is_true inst then None else Some inst)
             (tuples arity)
       | _ -> [])

@@ -285,8 +285,7 @@ let fresh_name base =
 
 (* [List.map] that returns the input list unchanged (physically) when [f]
    changes no element — keeps rebuilt trees sharing their untouched
-   subtrees, which is what makes the physical-identity caches in the
-   hash-consing kernel below effective. *)
+   subtrees. *)
 let map_sharing f xs =
   let changed = ref false in
   let ys =
@@ -452,284 +451,3 @@ let rec hypotheses_and_goal f =
     let hs, g = hypotheses_and_goal b in
     (conjuncts a @ hs, g)
   | _ -> ([], f)
-
-(* ------------------------------------------------------------------ *)
-(* Hash-consed kernel                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(** Maximal-sharing mirror of {!type:t}: every node is interned in the
-    global {!Hashcons} store, so physically distinct [hform]s are
-    structurally distinct and carry a unique [tag].  The plain tree stays
-    the universal representation — provers and the VCG keep pattern
-    matching on {!type:t} — while hot structural passes [import] into the
-    kernel once and then memoize per [tag].  See {!Hashcons} for the
-    domain-safety story. *)
-type hform = hnode Hashcons.hash_consed
-
-and hnode =
-  | HVar of ident
-  | HConst of const
-  | HApp of hform * hform list
-  | HBinder of binder * (ident * Ftype.t) list * hform
-  | HTypedForm of hform * Ftype.t
-
-module Hnode = struct
-  type nonrec t = hnode
-
-  (* One level deep only: children are already consed, so [==] on them is
-     structural equality.  No recursion means consing a node never takes a
-     second shard lock. *)
-  let equal a b =
-    match a, b with
-    | HVar x, HVar y -> String.equal x y
-    | HConst c, HConst d -> const_equal c d
-    | HApp (f, xs), HApp (g, ys) ->
-      f == g
-      && List.length xs = List.length ys
-      && List.for_all2 ( == ) xs ys
-    | HBinder (b1, v1, f1), HBinder (b2, v2, f2) ->
-      b1 = b2 && f1 == f2
-      && List.length v1 = List.length v2
-      && List.for_all2
-           (fun (x, tx) (y, ty) -> String.equal x y && Ftype.equal tx ty)
-           v1 v2
-    | HTypedForm (f, tf), HTypedForm (g, tg) -> f == g && Ftype.equal tf tg
-    | (HVar _ | HConst _ | HApp _ | HBinder _ | HTypedForm _), _ -> false
-
-  let hash (n : t) =
-    let comb acc (c : hform) = (acc * 31) + c.Hashcons.hkey in
-    match n with
-    | HVar x -> 3 + (19 * Hashtbl.hash x)
-    | HConst c -> 5 + (19 * Hashtbl.hash c)
-    | HApp (f, xs) -> List.fold_left comb (7 + (19 * f.Hashcons.hkey)) xs
-    | HBinder (b, vars, body) ->
-      List.fold_left
-        (fun acc (x, ty) -> (acc * 31) + Hashtbl.hash x + Hashtbl.hash ty)
-        (11 + (19 * Hashtbl.hash b) + (23 * body.Hashcons.hkey))
-        vars
-    | HTypedForm (f, ty) -> 13 + (19 * f.Hashcons.hkey) + (23 * Hashtbl.hash ty)
-end
-
-module Hstore = Hashcons.Make (Hnode)
-
-let store = Hstore.create ()
-let cons (n : hnode) : hform = Hstore.hashcons store n
-let store_count () = Hstore.count store
-
-let htag (h : hform) = h.Hashcons.tag
-let hnode (h : hform) = h.Hashcons.node
-
-(* Physical-identity cache from plain trees to their consed form.  Keys
-   are compared with [==]; this is sound because the cache holds its keys
-   strongly, so a live slot's address is never reused.
-
-   The cache is a fixed-size set-associative array rather than a
-   hashtable, for two reasons.  [Hashtbl.hash] is depth-capped, so
-   physically distinct but locally identical nodes — the spine of a deep
-   formula, or the structurally identical trees each vcgen round
-   re-creates — all collide; in a chained table those collisions
-   accumulate into unbounded bucket scans (quadratic across a run).  Here
-   a probe inspects at most [ways] slots and an insert evicts
-   round-robin, so lookups stay O(1) no matter how degenerate the hash
-   gets, and the footprint is fixed — dead formulas are overwritten, not
-   retained.  An evicted subtree simply re-imports; consing returns the
-   same [hform] either way.
-
-   One cache per domain (no lock on the hot path); the consed results
-   they map to live in the shared global store, so cross-domain physical
-   equality still holds. *)
-module Physcache = struct
-  let ways = 8
-  let buckets = 8192 (* 64k entries, ~1 MB per domain *)
-
-  type nonrec cache = {
-    keys : t array; (* buckets * ways; [dummy] marks an empty slot *)
-    vals : hform option array;
-    cursor : int array; (* per-bucket round-robin eviction point *)
-    dummy : t; (* private allocation: never [==] to a user tree *)
-  }
-
-  let create () =
-    let dummy = Const (BoolLit true) in
-    { keys = Array.make (buckets * ways) dummy;
-      vals = Array.make (buckets * ways) None;
-      cursor = Array.make buckets 0;
-      dummy }
-
-  let bucket f = Hashtbl.hash f land (buckets - 1)
-
-  let find_opt c f =
-    let base = bucket f * ways in
-    let rec scan i =
-      if i = ways then None
-      else if c.keys.(base + i) == f then c.vals.(base + i)
-      else scan (i + 1)
-    in
-    scan 0
-
-  let add c f h =
-    let b = bucket f in
-    let i = c.cursor.(b) in
-    c.cursor.(b) <- (i + 1) mod ways;
-    c.keys.((b * ways) + i) <- f;
-    c.vals.((b * ways) + i) <- Some h
-
-  let reset c =
-    Array.fill c.keys 0 (Array.length c.keys) c.dummy;
-    Array.fill c.vals 0 (Array.length c.vals) None;
-    Array.fill c.cursor 0 (Array.length c.cursor) 0
-end
-
-let import_cache : Physcache.cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Physcache.create ())
-
-(** Intern a plain tree into the consing store.  Physically shared
-    subtrees (as produced by the sharing-preserving [subst] and
-    [map_bottom_up] above, and by [split_vc] reusing hypothesis lists)
-    are interned once per domain. *)
-let import (f : t) : hform =
-  let cache = Domain.DLS.get import_cache in
-  let rec go f =
-    match Physcache.find_opt cache f with
-    | Some h -> h
-    | None ->
-      let h =
-        match f with
-        | Var x -> cons (HVar x)
-        | Const c -> cons (HConst c)
-        | App (g, args) -> cons (HApp (go g, List.map go args))
-        | Binder (b, vars, body) -> cons (HBinder (b, vars, go body))
-        | TypedForm (g, ty) -> cons (HTypedForm (go g, ty))
-      in
-      Physcache.add cache f h;
-      h
-  in
-  go f
-
-let export_memo : t Hashcons.Memo.t = Hashcons.Memo.create ()
-
-(** Back to the plain representation.  Memoized by tag, so the resulting
-    trees share exported subtrees physically. *)
-let rec export (h : hform) : t =
-  Hashcons.Memo.find_or_add export_memo h.Hashcons.tag (fun () ->
-      match h.Hashcons.node with
-      | HVar x -> Var x
-      | HConst c -> Const c
-      | HApp (g, args) -> App (export g, List.map export args)
-      | HBinder (b, vars, body) -> Binder (b, vars, export body)
-      | HTypedForm (g, ty) -> TypedForm (export g, ty))
-
-(* ---- memoized structural passes over consed nodes ---- *)
-
-let hfv_memo : Sset.t Hashcons.Memo.t = Hashcons.Memo.create ()
-
-(** Free variables, computed once per unique node. *)
-let rec hfv (h : hform) : Sset.t =
-  Hashcons.Memo.find_or_add hfv_memo h.Hashcons.tag (fun () ->
-      match h.Hashcons.node with
-      | HVar x -> Sset.singleton x
-      | HConst _ -> Sset.empty
-      | HApp (g, args) ->
-        List.fold_left (fun acc a -> Sset.union acc (hfv a)) (hfv g) args
-      | HBinder (_, vars, body) ->
-        List.fold_left (fun acc (x, _) -> Sset.remove x acc) (hfv body) vars
-      | HTypedForm (g, _) -> hfv g)
-
-let hsize_memo : int Hashcons.Memo.t = Hashcons.Memo.create ()
-
-(** Tree size (counts repeats of shared subtrees), computed in DAG time. *)
-let rec hsize (h : hform) : int =
-  Hashcons.Memo.find_or_add hsize_memo h.Hashcons.tag (fun () ->
-      match h.Hashcons.node with
-      | HVar _ | HConst _ -> 1
-      | HApp (g, args) ->
-        List.fold_left (fun n a -> n + hsize a) (1 + hsize g) args
-      | HBinder (_, _, body) -> 1 + hsize body
-      | HTypedForm (g, _) -> 1 + hsize g)
-
-(* ---- kernel-accelerated drop-ins for the plain API ---- *)
-
-(* Opportunistic kernel use: probe the per-domain import cache but never
-   force an import.  A tree already interned (anything that went through
-   the digest/canonicalize path, and every subtree thereof) answers from
-   the per-tag memo; a freshly built one-shot tree takes the plain pass,
-   which is cheaper than interning it first.  Measured both ways on the
-   end-to-end benchmark: unconditional [import] here costs more than the
-   memo saves. *)
-
-(** Like {!fv} but answers from the kernel memo when [f] is already
-    interned; identical result. *)
-let fv_shared f =
-  if not (Hashcons.enabled ()) then fv f
-  else
-    match Physcache.find_opt (Domain.DLS.get import_cache) f with
-    | Some h -> hfv h
-    | None -> fv f
-
-let fv_list_shared f = Sset.elements (fv_shared f)
-
-(** Like {!size}; identical result. *)
-let size_shared f =
-  if not (Hashcons.enabled ()) then size f
-  else
-    match Physcache.find_opt (Domain.DLS.get import_cache) f with
-    | Some h -> hsize h
-    | None -> size f
-
-let alpha_memo_plain : t Hashcons.Memo.t = Hashcons.Memo.create ()
-let alpha_memo_typed : t Hashcons.Memo.t = Hashcons.Memo.create ()
-
-(** Like {!alpha_normalize}; memoized per whole formula.  The plain pass
-    is deterministic, so the memoized result is byte-for-byte the one a
-    fresh run would produce. *)
-let alpha_normalize_shared ?(keep_types = false) f =
-  if not (Hashcons.enabled ()) then alpha_normalize ~keep_types f
-  else
-    let memo = if keep_types then alpha_memo_typed else alpha_memo_plain in
-    Hashcons.Memo.find_or_add memo (import f).Hashcons.tag (fun () ->
-        alpha_normalize ~keep_types f)
-
-(** O(1)-amortized alpha-equivalence through the kernel: two formulas are
-    {!equal} iff their normal forms intern to the same node. *)
-let equal_shared a b =
-  if not (Hashcons.enabled ()) then equal a b
-  else
-    import (alpha_normalize_shared a) == import (alpha_normalize_shared b)
-
-(* Substitution with a sharing-aware shortcut: when the kernel has
-   already interned the formula (a hypothesis that went through the
-   digest or relevant-hyps path, a quantifier body instantiated over and
-   over), the substitution domain is intersected with its memoized free
-   variables, and a formula touching none of the substituted variables
-   comes back physically unchanged in O(domain).  The probe never forces
-   an import: freshly built trees — every wp step's postcondition — go
-   straight to the plain sharing-preserving [subst].  Both importing at
-   the root and pruning at every node were measured to cost more than
-   they save on the formula sizes the VCG actually produces. *)
-let subst_sharing (map : t Smap.t) f =
-  if Smap.is_empty map then f
-  else
-    match Physcache.find_opt (Domain.DLS.get import_cache) f with
-    | Some h ->
-      let free = hfv h in
-      let map = Smap.filter (fun x _ -> Sset.mem x free) map in
-      if Smap.is_empty map then f else subst map f
-    | None -> subst map f
-
-(** Like {!subst}, with opportunistic free-variable pruning through the
-    kernel. *)
-let subst_shared map f =
-  if Hashcons.enabled () then subst_sharing map f else subst map f
-
-let subst1_shared x g f = subst_shared (Smap.singleton x g) f
-
-let subst_list_shared pairs f =
-  subst_shared
-    (List.fold_left (fun m (x, g) -> Smap.add x g m) Smap.empty pairs)
-    f
-
-(** Drop every kernel memo table (all modules, all node passes) and this
-    domain's import cache.  Benchmarks use this for cold-start A/B runs. *)
-let clear_memos () =
-  Hashcons.Memo.clear_all ();
-  Physcache.reset (Domain.DLS.get import_cache)

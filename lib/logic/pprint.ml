@@ -297,20 +297,11 @@ let rec canonical buf f =
     canonical_sort buf ty;
     Buffer.add_char buf ')'
 
-let canonical_memo : string Hashcons.Memo.t = Hashcons.Memo.create ()
-
 (** Unambiguous printing for cache digests: injective on
     alpha-normalized formulas (distinct constants get distinct tags,
     applications are fully parenthesized, binder sorts are printed).
-    Unlike {!to_string}, this output is not meant to be parsed back.
-    Memoized through the hash-consing kernel: the printer is
-    deterministic, so the cached string is exactly what a fresh run
-    would produce. *)
+    Unlike {!to_string}, this output is not meant to be parsed back. *)
 let to_canonical_string f =
-  let compute () =
-    let buf = Buffer.create 256 in
-    canonical buf f;
-    Buffer.contents buf
-  in
-  if not (Hashcons.enabled ()) then compute ()
-  else Hashcons.Memo.find_or_add canonical_memo (htag (import f)) compute
+  let buf = Buffer.create 256 in
+  canonical buf f;
+  Buffer.contents buf

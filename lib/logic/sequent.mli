@@ -28,14 +28,16 @@ val to_form : t -> Form.t
 (** Split an implication chain back into a sequent. *)
 val of_form : ?name:string -> Form.t -> t
 
-(** Canonical form for verdict caching: alpha-normalized hypotheses and
-    goal (binder sorts preserved), hypotheses sorted and deduplicated by
-    their canonical printing. *)
+(** Canonical form for verdict caching: fresh constants ([base__N])
+    renumbered by first occurrence, alpha-normalized hypotheses and goal
+    (binder sorts preserved), hypotheses sorted and deduplicated by their
+    canonical printing. *)
 val canonicalize : t -> t
 
 (** Stable cache key: MD5 of the canonicalized sequent's {e canonical}
     printing ({!Pprint.to_canonical_string}).  Invariant under hypothesis
-    reordering, duplicate hypotheses and bound-variable renaming; the
+    reordering, duplicate hypotheses, bound-variable renaming and the
+    fresh-constant counter offset; the
     [name] field is ignored.  Distinct operators that share surface syntax
     ([<=] vs subset-or-equal, [-] vs set difference) and binders that
     differ only in sort produce distinct keys — the surface printer is
@@ -44,7 +46,7 @@ val digest : t -> string
 
 (** The sequent's refutation form, [Simplify.simplify (hyps /\ ~goal)] —
     the formula the refutation-based provers (smt, bapa, fol) translate.
-    Centralized so they share one memoized simplification per obligation. *)
+    Centralized so they all translate the same formula. *)
 val refutand : t -> Form.t
 
 val pp : Format.formatter -> t -> unit

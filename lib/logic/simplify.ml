@@ -131,7 +131,7 @@ and simple_change candidate original =
 (** Exhaustive bottom-up rewriting with {!rewrite_step}; terminates because
     every rule strictly reduces a well-founded measure (redex count / size
     on ite-free paths). *)
-let simplify_plain f =
+let simplify f =
   let changed = ref true in
   let apply g =
     match rewrite_step g with
@@ -149,25 +149,6 @@ let simplify_plain f =
     end
   in
   loop f 64
-
-let simplify_memo : Form.t Hashcons.Memo.t = Hashcons.Memo.create ()
-
-(** The default entry point stays the plain fixpoint: most simplification
-    runs on freshly built one-shot trees (wp outputs, ground instances),
-    where interning the input costs more than the pass itself saves. *)
-let simplify = simplify_plain
-
-(** {!simplify_plain} memoized through the hash-consing kernel, for call
-    sites with architectural reuse — {!Sequent.refutand} is simplified up
-    to four times per obligation ([in_fragment] and [prove] of both SMT
-    and BAPA).  Beta reduction mints fresh binder names, so two plain
-    runs on the same input agree only up to alpha-renaming; the memoized
-    result is one such run, reused. *)
-let simplify_shared f =
-  if not (Hashcons.enabled ()) then simplify_plain f
-  else
-    Hashcons.Memo.find_or_add simplify_memo (htag (import f)) (fun () ->
-        simplify_plain f)
 
 (* ------------------------------------------------------------------ *)
 (* Negation normal form                                                *)

@@ -13,8 +13,7 @@
 
     All nodes live in a {!manager}.  Managers are deliberately {e not}
     shared across threads: every WS1S compilation builds its own, so the
-    multi-domain prover pool needs no locking here (mirroring how
-    [Logic.Hashcons] had to grow sharded locks when it went global).
+    multi-domain prover pool needs no locking here.
     Combining nodes from two managers is a programming error; {!Sdfa}
     asserts physical manager equality at every binary operation.
 

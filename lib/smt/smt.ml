@@ -739,8 +739,6 @@ let in_fragment (s : Sequent.t) : bool =
 
 (** Prove a sequent by refuting hypotheses + negated goal. *)
 let prove (s : Sequent.t) : Sequent.verdict =
-  (* [Sequent.refutand] is simplified through the shared memo, so the
-     in_fragment probe and the proof attempt pay for one simplification *)
   match check_sat (Sequent.refutand s) with
   | `Unsat -> Sequent.Valid
   | `Sat true -> Sequent.Invalid "SMT found a theory-consistent countermodel"

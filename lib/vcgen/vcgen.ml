@@ -61,10 +61,10 @@ let rec wp (opts : options) (c : Gcl.Cmd.command) (q : Form.t) : Form.t =
   | Gcl.Cmd.Skip -> q
   | Gcl.Cmd.Assume f -> Form.mk_impl f q
   | Gcl.Cmd.Assert (f, lbl) -> Form.mk_and [ mk_label lbl f; q ]
-  | Gcl.Cmd.Assign (x, e) -> Form.subst1_shared x e q
+  | Gcl.Cmd.Assign (x, e) -> Form.subst1 x e q
   | Gcl.Cmd.Havoc xs ->
     let ren = List.map (fun x -> (x, Form.Var (Form.fresh_name x))) xs in
-    Form.subst_list_shared ren q
+    Form.subst_list ren q
   | Gcl.Cmd.Seq cs -> List.fold_right (fun c q -> wp opts c q) cs q
   | Gcl.Cmd.Choice (a, b) -> Form.mk_and [ wp opts a q; wp opts b q ]
   | Gcl.Cmd.Loop l ->
@@ -102,7 +102,7 @@ let rec wp (opts : options) (c : Gcl.Cmd.command) (q : Form.t) : Form.t =
            (Gcl.Cmd.modified_vars l.Gcl.Cmd.loop_body))
     in
     let ren = List.map (fun x -> (x, Form.Var (Form.fresh_name x))) modified in
-    let arbitrary_iteration = Form.subst_list_shared ren body_check in
+    let arbitrary_iteration = Form.subst_list ren body_check in
     Form.mk_and [ labeled_conjuncts "initially"; arbitrary_iteration ]
 
 (** The full verification condition of a command. *)

@@ -234,6 +234,18 @@ let test_store_engine_fingerprint () =
         = Daemon.Store.Warm 1);
       Sys.remove p)
 
+(* the digest-scheme fingerprint of the BDD engine, recorded from the
+   released scheme: a store file written by an earlier binary loads warm
+   only while this string is unchanged *)
+let test_store_fingerprint_golden () =
+  let saved = Mona.Ws1s.current_default_engine () in
+  Fun.protect
+    ~finally:(fun () -> Mona.Ws1s.set_default_engine saved)
+    (fun () ->
+      Mona.Ws1s.set_default_engine Mona.Ws1s.Bdd;
+      Alcotest.(check string) "pinned fingerprint"
+        "ae231ade462867f4c98128c8cd85b739" (Daemon.Store.fingerprint ()))
+
 (* the schema-v2 method/dependency index survives save/load *)
 let test_store_method_records () =
   let p = fresh_path () in
@@ -267,6 +279,36 @@ let test_store_method_records () =
     (src'.Jahob_core.Jahob.find_method "C.m" = None);
   Alcotest.(check (list string)) "listing after removal" [ "C.n" ]
     (src'.Jahob_core.Jahob.list_methods ());
+  Sys.remove p
+
+(* a record removed since the last load must not come back through the
+   merge-on-save, while a record a concurrent writer added still does *)
+let test_store_removed_method_stays_removed () =
+  let p = fresh_path () in
+  let record (s : Daemon.Store.t) name =
+    Daemon.Store.record_method s
+      { Jahob_core.Jahob.sm_name = name; sm_digest = "dg"; sm_ctx = "ctx";
+        sm_infer = true; sm_mona = "bdd"; sm_deps = []; sm_verdicts = [] }
+  in
+  let s = Daemon.Store.load ~log:quiet p in
+  record s "C.m";
+  record s "C.n";
+  Daemon.Store.save s;
+  let s = Daemon.Store.load ~log:quiet p in
+  Daemon.Store.remove_method s "C.m";
+  Daemon.Store.save s;
+  Alcotest.(check (list string)) "removed record absent after reload"
+    [ "C.n" ]
+    (Daemon.Store.list_methods (Daemon.Store.load ~log:quiet p));
+  (* a second writer adds its own record; our next save must still
+     merge that one in *)
+  let other = Daemon.Store.load ~log:quiet p in
+  record other "C.o";
+  Daemon.Store.save other;
+  Daemon.Store.save s;
+  Alcotest.(check (list string)) "concurrent writer's record merged"
+    [ "C.n"; "C.o" ]
+    (Daemon.Store.list_methods (Daemon.Store.load ~log:quiet p));
   Sys.remove p
 
 let test_store_kill9_mid_write () =
@@ -714,6 +756,10 @@ let suite =
           test_store_engine_fingerprint;
         Alcotest.test_case "store: method records round-trip" `Quick
           test_store_method_records;
+        Alcotest.test_case "store: fingerprint pinned" `Quick
+          test_store_fingerprint_golden;
+        Alcotest.test_case "store: removed record stays removed" `Quick
+          test_store_removed_method_stays_removed;
         Alcotest.test_case "store: kill -9 mid-write" `Quick
           test_store_kill9_mid_write;
         Alcotest.test_case "store: concurrent clients" `Quick

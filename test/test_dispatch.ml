@@ -205,6 +205,31 @@ let test_digest_binder_sorts () =
   Alcotest.(check string) "unannotated binders still alpha-collapse"
     (Sequent.digest c) (Sequent.digest d)
 
+(* The digest scheme is the key of every persisted verdict: these exact
+   strings were recorded from the released scheme, so a change to the
+   canonical printer, alpha-normalization or fresh-constant renumbering
+   shows up here (and would cold-start every on-disk store).  Each pair
+   of variants must land on the same pinned key. *)
+let test_digest_golden () =
+  let pinned label expected variants =
+    List.iter
+      (fun s -> Alcotest.(check string) label expected (Sequent.digest s))
+      variants
+  in
+  pinned "hypothesis permutation" "457c128c3657f370a032ea7781ff6d4f"
+    [ seq [ "x <= y"; "y <= z" ] "x <= z";
+      seq [ "y <= z"; "x <= y" ] "x <= z" ];
+  pinned "bound-variable rename" "3b8c6aae796319aa8d75e6abff54fab6"
+    [ seq [ "ALL u. u : A --> u..f = null"; "x : A" ]
+        "EX v. v : A & v..f = null";
+      seq [ "x : A"; "ALL w. w : A --> w..f = null" ]
+        "EX q. q : A & q..f = null" ];
+  pinned "fresh-constant offset" "0901f14250a29af4d83e108ca5a72d62"
+    [ seq [ "tmp__17 = x + 1"; "r__3 = tmp__17" ] "r__3 > x";
+      seq [ "tmp__942 = x + 1"; "r__55 = tmp__942" ] "r__55 > x" ];
+  pinned "set operators and binder sorts" "bfa179dcce67513e57f9622aa4cef75f"
+    [ seq [ "card (A - B) = 0"; "ALL (z::obj). z : A --> z : B" ] "A <= B" ]
+
 (* ------------------------------------------------------------------ *)
 (* Verdict cache                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -720,6 +745,8 @@ let suite =
           test_digest_set_vs_int_ops;
         Alcotest.test_case "digest: binder sorts" `Quick
           test_digest_binder_sorts;
+        Alcotest.test_case "digest: pinned golden keys" `Quick
+          test_digest_golden;
         Alcotest.test_case "cache hit settles once" `Quick test_cache_hit;
         Alcotest.test_case "unknown verdicts not cached" `Quick
           test_unknown_not_cached;
