@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI should run.
 
-.PHONY: all build test check fuzz-smoke perfbench-unit bench-sched bench-scaling bench-daemon bench-incremental bench-fol bench-mona serve-smoke bench bench-json clean
+.PHONY: all build test check fuzz-smoke perfbench-unit bench-scaling bench-daemon bench-incremental bench-fol bench-mona serve-smoke bench bench-json clean
 
 all: build
 
@@ -25,7 +25,6 @@ check:
 	rm -f trace_smoke.jsonl
 	$(MAKE) fuzz-smoke
 	$(MAKE) perfbench-unit
-	$(MAKE) bench-sched
 	$(MAKE) bench-scaling
 	$(MAKE) bench-daemon
 	$(MAKE) bench-incremental
@@ -48,14 +47,6 @@ fuzz-smoke:
 # speed scaling, work signatures); pure Python, no build needed
 perfbench-unit:
 	python3 -B -m unittest discover -s perfbench -p 'test_*.py'
-
-# guarded A/B of the adaptive scheduler: the experiment fails unless
-# adaptive routing+ordering beats the fixed cascade by >=15% end to end
-# with identical verdicts, pre-routing actually skips, racing actually
-# races, and a 50ms budget cancels a ~0.3s prover cooperatively;
-# refreshes BENCH_sched.json
-bench-sched:
-	dune exec bench/main.exe -- sched
 
 # scaling guard for the work-stealing pool: verdict counts and cache
 # hit/lookup counters must be identical at every -j (the claim table

@@ -111,29 +111,6 @@ let mona_engine_arg =
                  records are keyed by the engine, so runs never mix them \
                  silently")
 
-let sched_arg =
-  Arg.(value
-       & opt
-           (enum
-              [ ("adaptive", Dispatch.Sched.Adaptive);
-                ("fixed", Dispatch.Sched.Fixed) ])
-           Dispatch.Sched.Adaptive
-       & info [ "sched" ] ~docv:"POLICY"
-           ~doc:"Portfolio scheduling: $(b,adaptive) skips provers whose \
-                 fragment rejects the obligation and orders the rest by \
-                 learned expected cost-to-solve; $(b,fixed) replays the \
-                 declared cascade order (skipping is sound — only provers \
-                 that would answer unknown are skipped — so verdicts are \
-                 identical under both policies)")
-
-let race_arg =
-  Arg.(value & opt int 1
-       & info [ "race" ] ~docv:"K"
-           ~doc:"Race up to $(docv) admitted provers per obligation on \
-                 idle worker domains; the first settled verdict wins and \
-                 the losers are cancelled at their next deadline \
-                 checkpoint.  Requires --jobs > 1 to actually overlap")
-
 let trace_arg =
   Arg.(value & opt (some string) None
        & info [ "trace" ] ~docv:"FILE"
@@ -152,7 +129,7 @@ let trace_format_arg =
                  array)")
 
 let make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap ~budget
-    ~sched ~race ~mona_engine : Jahob_core.Jahob.options =
+    ~mona_engine : Jahob_core.Jahob.options =
   (* set the process default immediately: [verify_with_store] computes
      the store fingerprint before [create_engine] runs, and the
      fingerprint must see the engine the run will actually use *)
@@ -163,8 +140,6 @@ let make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap ~budget
     use_cache = not no_cache;
     cache_cap;
     budget_s = budget;
-    sched;
-    race;
     mona_engine }
 
 let incremental_arg =
@@ -231,12 +206,12 @@ let verify_since (opts : Jahob_core.Jahob.options) ~(base : string list)
 
 let verify_cmd =
   let run files no_inference provers stats jobs no_cache cache_cap budget
-      sched race mona_engine store store_cap incremental since
+      mona_engine store store_cap incremental since
       trace_file trace_format =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
-            ~budget ~sched ~race ~mona_engine
+            ~budget ~mona_engine
         in
         (* aggregate counters feed --stats; the sink feeds --trace *)
         if stats || trace_file <> None then Trace.start_collecting ();
@@ -279,7 +254,7 @@ let verify_cmd =
   Cmd.v (Cmd.info "verify" ~doc:"Verify all annotated methods")
     Term.(const run $ files_arg $ no_inference_arg $ provers_arg $ stats_arg
           $ jobs_arg $ no_cache_arg $ cache_cap_arg $ budget_arg
-          $ sched_arg $ race_arg $ mona_engine_arg
+          $ mona_engine_arg
           $ store_arg $ store_cap_arg $ incremental_arg $ since_arg
           $ trace_arg $ trace_format_arg)
 
@@ -298,11 +273,11 @@ let serve_cmd =
                    request fanning out on the resident worker pool")
   in
   let run stdio socket no_inference provers jobs no_cache cache_cap budget
-      sched race mona_engine store store_cap =
+      mona_engine store store_cap =
     with_frontend_errors (fun () ->
         let opts =
           make_options ~no_inference ~provers ~jobs ~no_cache ~cache_cap
-            ~budget ~sched ~race ~mona_engine
+            ~budget ~mona_engine
         in
         let cfg =
           { (Daemon.Server.default_config ()) with
@@ -328,12 +303,11 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Run the resident verification daemon: JSONL requests over a \
              Unix socket or stdio, answered from a warm engine (worker \
-             pool, verdict cache, scheduler EMAs) \
+             pool, verdict cache) \
              optionally backed by a persistent on-disk verdict store")
     Term.(const run $ stdio_flag $ socket_arg $ no_inference_arg
           $ provers_arg $ jobs_arg $ no_cache_arg $ cache_cap_arg
-          $ budget_arg $ sched_arg $ race_arg
-          $ mona_engine_arg $ store_arg $ store_cap_arg)
+          $ budget_arg $ mona_engine_arg $ store_arg $ store_cap_arg)
 
 let vc_cmd =
   let run files =
@@ -488,11 +462,12 @@ let fuzz_cmd =
   let no_sched_check_arg =
     Arg.(value & flag
          & info [ "no-sched-check" ]
-             ~doc:"Skip the scheduler cross-check (by default every \
-                   sequent also runs through a fixed-order and an \
-                   adaptive dispatcher, and any verdict-kind difference \
-                   is flagged: reordering and fragment skipping must \
-                   never change Valid/Invalid)")
+             ~doc:"Skip the admission cross-check (by default every \
+                   sequent also runs through a dispatcher that skips \
+                   provers by their admission predicates and one that \
+                   skips none, and any verdict-kind difference is \
+                   flagged: admission skipping must never change \
+                   Valid/Invalid)")
   in
   let inc_arg =
     Arg.(value & opt int 0

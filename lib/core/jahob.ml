@@ -35,7 +35,7 @@ let provenance_reasons (p : provenance) : string list =
 let default_provers () : Logic.Sequent.prover list =
   [ Smt.prover; Bapa.prover; Fca.prover; Fol.prover ]
 
-(** Fragment-admission predicates for the scheduler, keyed by prover
+(** Fragment-admission predicates for the dispatcher, keyed by prover
     name.  Only provers whose [in_fragment = false] {e provably} implies
     [prove = Unknown] may appear here — each of these fails in the same
     translation front end its predicate runs, so a skip can never change
@@ -56,15 +56,12 @@ type options = {
   use_cache : bool; (* memoize verdicts of repeated obligations *)
   cache_cap : int; (* verdict-cache entry cap; 0 = the generous default *)
   budget_s : float option; (* wall-clock budget per prover call *)
-  sched : Dispatch.Sched.policy; (* fixed cascade or adaptive routing *)
-  race : int; (* admitted provers raced per obligation; 1 = cascade *)
   mona_engine : Mona.Ws1s.engine; (* WS1S automata engine: Bdd or Dense *)
 }
 
 let default_options () =
   { provers = default_provers (); infer_loop_invariants = true;
     jobs = 1; use_cache = true; cache_cap = 0; budget_s = None;
-    sched = Dispatch.Sched.Adaptive; race = 1;
     mona_engine = Mona.Ws1s.Bdd }
 
 (* a ceiling on worker domains: beyond any real core count, more domains
@@ -101,10 +98,10 @@ let vcgen_options ?(drop = []) ?cache ?memo (opts : options)
 (* ------------------------------------------------------------------ *)
 
 (** Everything that should stay warm across verification requests: the
-    worker pool, the verdict cache, the adaptive scheduler's EMAs and
-    the per-prover statistics (all owned by the one dispatcher).  A
-    one-shot [verify_files] builds a throwaway engine; [jahob serve]
-    builds one at startup and answers every request from it. *)
+    worker pool, the verdict cache and the per-prover statistics (all
+    owned by the one dispatcher).  A one-shot [verify_files] builds a
+    throwaway engine; [jahob serve] builds one at startup and answers
+    every request from it. *)
 type engine = {
   eng_opts : options;
   eng_pool : Dispatch.Pool.t option;
@@ -146,10 +143,7 @@ let create_engine (opts : options) : engine =
   in
   let dispatcher =
     Dispatch.create ?pool ?cache ?budget_s:opts.budget_s
-      ~sched:
-        (Dispatch.Sched.create ~policy:opts.sched ~race:opts.race
-           ~admits:(default_admissions ()) ())
-      opts.provers
+      ~admits:(default_admissions ()) opts.provers
   in
   { eng_opts = opts; eng_pool = pool; eng_cache = cache;
     eng_dispatcher = dispatcher; eng_shape_memo = Shape.create_memo ();

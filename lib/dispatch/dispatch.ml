@@ -5,11 +5,12 @@
     procedures", with "a simple goal decomposition technique to prove
     different conjuncts in the goal using different decision procedures".
 
-    Each obligation is simplified, then offered to the portfolio in a
-    configurable order.  A prover that answers [Unknown] passes the goal
-    on; [Valid] and [Invalid] are final.  Assumption filtering keeps each
-    query small: hypotheses sharing no symbols with the goal (direct or
-    transitive) are dropped before a prover runs.
+    Each obligation is simplified, then offered to the portfolio in its
+    declared order, skipping provers whose admission predicate rejects
+    it.  A prover that answers [Unknown] passes the goal on; [Valid] and
+    [Invalid] are final.  Assumption filtering keeps each query small:
+    hypotheses sharing no symbols with the goal (direct or transitive)
+    are dropped before a prover runs.
 
     Obligations are independent, so [prove_all] fans them out across the
     domains of an optional {!Pool.t}.  An optional verdict {!Cache.t}
@@ -19,17 +20,16 @@
 open Logic
 
 (* re-export the sibling modules: [dispatch] is this library's main
-   module, so [Pool], [Cache] and [Sched] are only reachable through it *)
+   module, so [Pool] and [Cache] are only reachable through it *)
 module Pool = Pool
 module Cache = Cache
-module Sched = Sched
 
 type prover_stats = {
   mutable attempts : int;
   mutable proved : int;
   mutable refuted : int;
   mutable raised : int; (* attempts that ended in an exception *)
-  mutable skipped : int; (* attempts avoided by fragment pre-routing *)
+  mutable skipped : int; (* attempts avoided by admission *)
 }
 
 type report = {
@@ -40,12 +40,13 @@ type report = {
 }
 
 type t = {
-  provers : Sequent.prover list;
+  provers : Sequent.prover list; (* tried in this order *)
+  admits : (string * (Sequent.t -> bool)) list;
+      (* admission predicates, keyed by prover name *)
   stats : (string, prover_stats) Hashtbl.t;
   stats_mutex : Mutex.t; (* guards [stats]: domains update it concurrently *)
   pool : Pool.t option; (* fan obligations out when present *)
   cache : Cache.t option; (* verdict memoization when present *)
-  sched : Sched.t; (* routing/ordering policy for the cascade *)
   mutable simplify_first : bool;
   mutable filter_assumptions : bool;
   mutable ground_saturate : bool;
@@ -64,9 +65,9 @@ type t = {
     core to completion as the pre-deadline implementation did.
 
     The helper's token is parented to the calling thread's token, if any,
-    so an enclosing race that cancels its losers reaches through the
-    budget wrapper.  Exceptions other than {!Deadline.Expired} are
-    re-raised in the caller, where the dispatcher counts them. *)
+    so cancelling an enclosing token reaches through the budget wrapper.
+    Exceptions other than {!Deadline.Expired} are re-raised in the
+    caller, where the dispatcher counts them. *)
 let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
   { Sequent.prover_name = p.Sequent.prover_name;
     prove =
@@ -85,8 +86,8 @@ let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
             ()
         in
         (* whether the expiry was this budget's own deadline or an
-           enclosing token (a race that already settled) reaching
-           through; drives both the verdict message and the counters *)
+           enclosing token's cancellation reaching through; drives both
+           the verdict message and the counters *)
         let cancelled () =
           Trace.incr "deadline.cancelled";
           Sequent.Unknown "attempt cancelled"
@@ -105,7 +106,7 @@ let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
           | Some (Ok v) -> v
           | Some (Error Deadline.Expired) ->
             (* the helper hit a checkpoint first; an explicit cancel
-               request means a race settled elsewhere, otherwise the
+               request came from an enclosing token, otherwise the
                token timed out on its own — that is the budget *)
             if Deadline.cancel_requested token then cancelled ()
             else budget_exceeded ()
@@ -113,9 +114,9 @@ let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
           | None ->
             if Deadline.expired token then begin
               (* stop the helper at its next checkpoint and answer now *)
-              let raced_away = Deadline.cancel_requested token in
+              let cancelled_above = Deadline.cancel_requested token in
               Deadline.cancel token;
-              if raced_away then cancelled () else budget_exceeded ()
+              if cancelled_above then cancelled () else budget_exceeded ()
             end
             else begin
               Thread.delay delay;
@@ -124,19 +125,20 @@ let with_budget ~(budget_s : float) (p : Sequent.prover) : Sequent.prover =
         in
         wait 2e-4) }
 
+(** [admits] maps prover names to admission predicates: a prover whose
+    predicate rejects a sequent is skipped.  Only provers whose
+    [in_fragment = false] provably implies [prove = Unknown] may register
+    one, so a skip never changes a verdict. *)
 let create ?(simplify_first = true) ?(filter_assumptions = true)
-    ?(ground_saturate = true) ?pool ?cache ?budget_s ?sched
+    ?(ground_saturate = true) ?pool ?cache ?budget_s ?(admits = [])
     (provers : Sequent.prover list) : t =
   let provers =
     match budget_s with
     | None -> provers
     | Some budget_s -> List.map (with_budget ~budget_s) provers
   in
-  let sched = match sched with Some s -> s | None -> Sched.create () in
-  { provers; stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
-    pool; cache; sched; simplify_first; filter_assumptions; ground_saturate }
-
-let sched (d : t) : Sched.t = d.sched
+  { provers; admits; stats = Hashtbl.create 8; stats_mutex = Mutex.create ();
+    pool; cache; simplify_first; filter_assumptions; ground_saturate }
 
 let stats_for (d : t) (name : string) : prover_stats =
   match Hashtbl.find_opt d.stats name with
@@ -213,30 +215,19 @@ let note_raised (d : t) (name : string) (e : exn) : Sequent.verdict =
   bump_stats d name (fun st -> st.raised <- st.raised + 1);
   Sequent.Unknown ("prover raised " ^ Printexc.to_string e)
 
-let settled = function
-  | Sequent.Valid | Sequent.Invalid _ -> true
-  | Sequent.Unknown _ -> false
-
-(* one timed prover attempt: stats, crash accounting, EMA feedback *)
-let attempt (d : t) ~(signature : string) (s : Sequent.t)
-    (p : Sequent.prover) : Sequent.verdict =
+(* one prover attempt: stats and crash accounting *)
+let attempt (d : t) (s : Sequent.t) (p : Sequent.prover) : Sequent.verdict =
   let name = p.Sequent.prover_name in
   bump_stats d name (fun st -> st.attempts <- st.attempts + 1);
-  let t0 = Clock.now () in
   let v =
     match p.Sequent.prove s with
     | v -> v
     | exception Deadline.Expired ->
-      (* a racing sibling settled first; not a crash *)
-      Trace.incr "sched.race_cancelled";
+      (* an enclosing token was cancelled; not a crash *)
+      Trace.incr "deadline.cancelled";
       Sequent.Unknown "attempt cancelled"
     | exception e -> note_raised d name e
   in
-  (match d.sched.Sched.policy with
-  | Sched.Fixed -> ()
-  | Sched.Adaptive ->
-    Sched.record d.sched ~signature ~prover:name
-      ~latency_s:(Clock.now () -. t0) ~settled:(settled v));
   (match v with
   | Sequent.Valid -> bump_stats d name (fun st -> st.proved <- st.proved + 1)
   | Sequent.Invalid _ ->
@@ -244,100 +235,41 @@ let attempt (d : t) ~(signature : string) (s : Sequent.t)
   | Sequent.Unknown _ -> ());
   v
 
-let report_of (s : Sequent.t) (p : Sequent.prover) (v : Sequent.verdict) :
-    report =
-  { sequent = s; verdict = v; prover = Some p.Sequent.prover_name;
-    cached = false }
-
-(* race [ps] on the pool: every racer runs under its own cancel token,
-   the first settled verdict wins and cancels the others, which unwind at
-   their next Deadline checkpoint.  Pool.map is nest-safe (the calling
-   worker helps run its own race), so with a busy pool this degrades to
-   the sequential cascade: later racers find the winner already posted
-   and return without running, or get cancelled at their first poll. *)
-let race_attempts (d : t) ~(signature : string) (pool : Pool.t)
-    (s : Sequent.t) (ps : Sequent.prover list) : report option =
-  Trace.incr "sched.race";
-  let winner = Atomic.make None in
-  let entries =
-    List.map (fun p -> (p, Deadline.make ?parent:(Deadline.current ()) ())) ps
-  in
-  let run (p, token) =
-    if Atomic.get winner <> None then ()
-    else
-      let v =
-        match Deadline.with_token token (fun () -> attempt d ~signature s p)
-        with
-        | v -> v
-        | exception Deadline.Expired ->
-          Trace.incr "sched.race_cancelled";
-          Sequent.Unknown "attempt cancelled"
-      in
-      if settled v then
-        if Atomic.compare_and_set winner None (Some (v, p)) then
-          List.iter
-            (fun (q, t) -> if not (q == p) then Deadline.cancel t)
-            entries
-  in
-  let (_ : unit list) = Pool.map pool run entries in
-  Option.map (fun (v, p) -> report_of s p v) (Atomic.get winner)
-
-(* the scheduler-driven cascade: order the portfolio (learned EMAs under
-   Adaptive, as declared under Fixed), skip provers whose admission
-   predicate rejects the sequent, and either try the survivors in order
-   or race them [race] at a time *)
-let run_cascade (d : t) (s : Sequent.t) : report =
-  let signature = Sched.signature s in
-  let give_up () =
-    { sequent = s;
-      verdict = Sequent.Unknown "no prover settled the goal";
-      prover = None;
-      cached = false }
-  in
-  (* admission is evaluated lazily, in attempt order: once a prover
-     settles the goal, the predicates of everyone behind it never run *)
-  let admit (p : Sequent.prover) : bool =
-    let name = p.Sequent.prover_name in
-    if Sched.admitted d.sched s name then true
-    else begin
+(* Is [p] offered [s] at all?  A predicate that raises admits: the
+   prover's own front end then decides, never skip on a crash. *)
+let admitted (d : t) (s : Sequent.t) (p : Sequent.prover) : bool =
+  let name = p.Sequent.prover_name in
+  match List.assoc_opt name d.admits with
+  | None -> true
+  | Some pred ->
+    let ok = try pred s with _ -> true in
+    if not ok then begin
       Trace.incr "sched.skipped";
       Trace.incr ("sched.skipped." ^ name);
-      bump_stats d name (fun st -> st.skipped <- st.skipped + 1);
-      false
-    end
-  in
-  let race_width =
-    match d.pool with None -> 1 | Some _ -> Sched.race d.sched
-  in
+      bump_stats d name (fun st -> st.skipped <- st.skipped + 1)
+    end;
+    ok
+
+(* the cascade: try the provers in declared order, skipping those whose
+   admission predicate rejects the sequent.  Admission is evaluated
+   lazily, so once a prover settles the goal the predicates of everyone
+   behind it never run. *)
+let run_cascade (d : t) (s : Sequent.t) : report =
   let rec go = function
-    | [] -> give_up ()
-    | p :: rest when not (admit p) -> go rest
-    | p :: rest when race_width > 1 -> (
-      (* collect up to race_width admitted provers, racing them as a
-         group; admission of provers beyond the group stays lazy *)
-      let rec take k acc = function
-        | rest when k = 0 -> (List.rev acc, rest)
-        | [] -> (List.rev acc, [])
-        | q :: rest when not (admit q) -> take k acc rest
-        | q :: rest -> take (k - 1) (q :: acc) rest
-      in
-      let group, rest = take (race_width - 1) [ p ] rest in
-      match group with
-      | [ lone ] -> (
-        match attempt d ~signature s lone with
-        | v when settled v -> report_of s lone v
-        | _ -> go rest)
-      | group -> (
-        let pool = Option.get d.pool in
-        match race_attempts d ~signature pool s group with
-        | Some r -> r
-        | None -> go rest))
+    | [] ->
+      { sequent = s;
+        verdict = Sequent.Unknown "no prover settled the goal";
+        prover = None;
+        cached = false }
+    | p :: rest when not (admitted d s p) -> go rest
     | p :: rest -> (
-      match attempt d ~signature s p with
-      | v when settled v -> report_of s p v
-      | _ -> go rest)
+      match attempt d s p with
+      | Sequent.Unknown _ -> go rest
+      | v ->
+        { sequent = s; verdict = v; prover = Some p.Sequent.prover_name;
+          cached = false })
   in
-  go (Sched.order d.sched ~signature d.provers)
+  go d.provers
 
 (* the portfolio run proper, after the cache has been consulted *)
 let prove_uncached (d : t) (s : Sequent.t) : report =

@@ -57,10 +57,10 @@ type config = {
   int_range : int;
   max_models : int option; (** cap on oracle model enumeration *)
   check_sched : bool;
-      (** also run each sequent through a fixed-order and an adaptive
-          dispatcher and flag any difference in verdict kind: fragment
-          skipping and learned reordering must never change
-          Valid/Invalid *)
+      (** also run each sequent through a dispatcher that skips provers
+          by their admission predicates and one that skips none, and
+          flag any difference in verdict kind: admission skipping must
+          never change Valid/Invalid *)
 }
 
 let default_config =
@@ -120,12 +120,11 @@ let with_budget (cfg : config) (p : Sequent.prover) : Sequent.prover =
   if cfg.budget_s > 0. then Dispatch.with_budget ~budget_s:cfg.budget_s p
   else p
 
-(** A fixed-order and an adaptive dispatcher over the same portfolio, for
-    the scheduler cross-check.  Long-lived on purpose: the adaptive side's
-    EMAs learn across the whole campaign, so reordering actually kicks in
-    and gets tested.  The smt party registers no admission predicate
-    (mirroring {!Jahob.default_admissions}: its [in_fragment] is not
-    skip-sound). *)
+(** Two dispatchers over the same portfolio, for the admission
+    cross-check: the first skips provers by the parties' admission
+    predicates, the second skips none.  The smt party registers no
+    predicate (mirroring {!Jahob.default_admissions}: its [in_fragment]
+    is not skip-sound). *)
 let sched_dispatchers ?(parties = default_parties ()) (cfg : config) :
     Dispatch.t * Dispatch.t =
   let provers = List.map (fun p -> p.prover) parties in
@@ -136,12 +135,8 @@ let sched_dispatchers ?(parties = default_parties ()) (cfg : config) :
       parties
   in
   let budget_s = if cfg.budget_s > 0. then Some cfg.budget_s else None in
-  let mk policy =
-    Dispatch.create ?budget_s
-      ~sched:(Dispatch.Sched.create ~policy ~admits ())
-      provers
-  in
-  (mk Dispatch.Sched.Fixed, mk Dispatch.Sched.Adaptive)
+  let mk admits = Dispatch.create ?budget_s ~admits provers in
+  (mk admits, mk [])
 
 (* verdict kind of a full dispatcher run, never raising *)
 let dispatch_kind (d : Dispatch.t) (s : Sequent.t) : string =
@@ -153,8 +148,8 @@ let dispatch_kind (d : Dispatch.t) (s : Sequent.t) : string =
 (** Route [s] to every admitting party, consult the oracle when any party
     committed to a [Valid]/[Invalid] verdict, and compute disagreement
     keys.  When [sched] carries the cross-check dispatchers, the sequent
-    additionally runs through the fixed and the adaptive cascade, and a
-    verdict-kind difference becomes a [sched:] disagreement key. *)
+    additionally runs through the admitting and the unfiltered cascade,
+    and a verdict-kind difference becomes a [sched:] disagreement key. *)
 let check ?(parties = default_parties ()) ?sched (cfg : config)
     (frag : Formgen.fragment) ?(index = -1) (s : Sequent.t) : finding =
   let verdicts =
@@ -184,11 +179,11 @@ let check ?(parties = default_parties ()) ?sched (cfg : config)
   let sched_keys =
     match sched with
     | None -> []
-    | Some (fixed_d, adaptive_d) ->
-      let kf = dispatch_kind fixed_d s in
-      let ka = dispatch_kind adaptive_d s in
-      if kf = ka then []
-      else [ Printf.sprintf "sched:fixed=%s!=adaptive=%s" kf ka ]
+    | Some (admits_d, all_d) ->
+      let ka = dispatch_kind admits_d s in
+      let kall = dispatch_kind all_d s in
+      if ka = kall then []
+      else [ Printf.sprintf "sched:admits=%s!=all=%s" ka kall ]
   in
   let keys = disagreement_keys verdicts oracle @ sched_keys in
   let suspicious =
@@ -472,8 +467,6 @@ let run ?(parties = default_parties ()) ?(on_finding = fun (_ : finding) -> ())
   let raw = ref 0 in
   let seen_keys : (string, unit) Hashtbl.t = Hashtbl.create 8 in
   let findings = ref [] in
-  (* one dispatcher pair for the whole fragment campaign, so the adaptive
-     side accumulates enough samples to genuinely reorder *)
   let sched =
     if cfg.check_sched then Some (sched_dispatchers ~parties cfg) else None
   in

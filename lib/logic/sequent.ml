@@ -101,14 +101,9 @@ let fresh_renaming (s : t) : Form.t Form.Smap.t =
     (fun x f -> match f with Form.Var y -> not (String.equal x y) | _ -> true)
     !map
 
-(** Canonical form for caching: fresh constants ([base__N], minted by
-    {!Form.fresh_name}) are renumbered by first occurrence, every
-    hypothesis and the goal are alpha-normalized (bound variables renamed
-    by binding depth, sorts and type annotations preserved), then the
-    hypotheses are sorted and deduplicated by their canonical printing.
-    Two sequents that differ only in hypothesis order, bound-variable
-    names or the fresh-counter offset canonicalize identically. *)
-let canonicalize (s : t) : t =
+(* the canonical hypotheses, sorted and deduplicated by their canonical
+   printing and paired with it, and the canonical goal *)
+let canonical_parts (s : t) : (string * Form.t) list * Form.t =
   let ren = fresh_renaming s in
   let rename f = if Form.Smap.is_empty ren then f else Form.subst ren f in
   let keyed =
@@ -118,29 +113,37 @@ let canonicalize (s : t) : t =
         (Pprint.to_canonical_string h, h))
       s.hyps
   in
-  let keyed =
-    List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed
-  in
-  { s with
-    hyps = List.map snd keyed;
-    goal = Form.alpha_normalize ~keep_types:true (rename s.goal) }
+  ( List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) keyed,
+    Form.alpha_normalize ~keep_types:true (rename s.goal) )
+
+(** Canonical form for caching: fresh constants ([base__N], minted by
+    {!Form.fresh_name}) are renumbered by first occurrence, every
+    hypothesis and the goal are alpha-normalized (bound variables renamed
+    by binding depth, sorts and type annotations preserved), then the
+    hypotheses are sorted and deduplicated by their canonical printing.
+    Two sequents that differ only in hypothesis order, bound-variable
+    names or the fresh-counter offset canonicalize identically. *)
+let canonicalize (s : t) : t =
+  let keyed, goal = canonical_parts s in
+  { s with hyps = List.map snd keyed; goal }
 
 (** A stable key for the canonicalized sequent: the MD5 digest of its
     {e canonical} printing ({!Pprint.to_canonical_string} — the surface
     printer is ambiguous between integer and set operators, so keying on
     it could return a cached verdict for the wrong obligation).  [name]
     does not participate — obligations regenerated under different labels
-    still collide, which is the point. *)
+    still collide, which is the point.  Each hypothesis is printed once,
+    by {!canonical_parts}. *)
 let digest (s : t) : string =
-  let c = canonicalize s in
+  let keyed, goal = canonical_parts s in
   let buf = Buffer.create 256 in
   List.iter
-    (fun h ->
-      Buffer.add_string buf (Pprint.to_canonical_string h);
+    (fun (h, _) ->
+      Buffer.add_string buf h;
       Buffer.add_char buf '\n')
-    c.hyps;
+    keyed;
   Buffer.add_string buf "|-";
-  Buffer.add_string buf (Pprint.to_canonical_string c.goal);
+  Buffer.add_string buf (Pprint.to_canonical_string goal);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (** The sequent's refutation form, [simplify (hyps /\ ~goal)] — what the
